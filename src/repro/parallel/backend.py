@@ -4,10 +4,19 @@
 processes (a ``multiprocessing`` **spawn** context -- no inherited
 interpreter state, the same start method ``torch.distributed`` defaults
 to on CUDA), one command queue per worker, one shared result queue, one
-inbox queue per worker for peer traffic, and -- for the default ``shm``
-transport -- one shared-memory arena per worker.  The ``tcp`` transport
-replaces the arenas with a full mesh of sockets
-(:mod:`repro.parallel.tcp`) so the ranks can span machines.
+inbox queue per worker for peer traffic, one shared-memory **staging**
+segment for command arrays, and -- for the default ``shm`` transport --
+one shared-memory arena per worker.  The ``tcp`` transport replaces the
+arenas with a full mesh of sockets (:mod:`repro.parallel.tcp`) so the
+ranks can span machines.
+
+Commands are staged (:class:`~repro.parallel.shm.StagingArea`): array
+buffers -- features, labels, the adjacency CSR -- are written once into
+the staging segment and every worker copies them out on receipt, so the
+queued message is the same few-KiB pickle for every worker however
+large the inputs.  Workers, arenas and the staging segment are released
+by one finalizer that is registered before any of them is created, so a
+spawn that fails partway leaks nothing.
 
 The workers are **resident**: the driver ships whole programs, not
 individual steps.  ``fit`` is one dispatch -- the epoch loop runs
@@ -59,6 +68,7 @@ from repro.parallel.channel import (
 )
 from repro.parallel.faults import FaultPlan, parse_plan
 from repro.parallel.runtime import WorkerRuntime, ledger_digest, owner_map
+from repro.parallel.shm import StagedReader, StagingArea
 from repro.parallel.tcp import TcpChannel, parse_hosts
 
 __all__ = [
@@ -138,8 +148,12 @@ _TRANSPORT_MARKERS = ("ChannelTimeout", "UnpicklingError",
                       "ConnectionResetError", "BrokenPipeError")
 
 
-def _cleanup(procs, arenas, queues):
-    """Finalizer: make sure no OS resources outlive the backend."""
+def _cleanup(procs, arenas, staging, queues):
+    """Finalizer: make sure no OS resources outlive the backend.
+
+    ``procs`` is the pool's live process list, so a spawn that fails
+    partway reaps the workers that did start.
+    """
     for p in procs:
         if p.is_alive():
             p.terminate()
@@ -151,8 +165,9 @@ def _cleanup(procs, arenas, queues):
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
+    staging.release()
     for q in queues:
-        q.cancel_join_thread()
+        q.close()
 
 
 class ProcessBackend:
@@ -217,10 +232,20 @@ class ProcessBackend:
         # result-queue entries from a killed run must never be read).
         self.procs = []
         self.arenas = []
+        #: driver-owned segment carrying command arrays to the workers
+        self.staging = StagingArea()
         ctx = mp.get_context("spawn")
         w = self.nworkers
         self.inboxes = [ctx.Queue() for _ in range(w)]
-        self.cmd_queues = [ctx.Queue() for _ in range(w)]
+        # Commands go through SimpleQueues: put() writes synchronously
+        # (staged command messages are small), so the driver runs no
+        # queue feeder threads.  A feeder thread holds its queue in a
+        # reference cycle, so the queue's semaphores were released --
+        # unlinked, then unregistered from the resource tracker -- on
+        # that daemon thread when it exited at interpreter shutdown,
+        # which could kill it between the two steps and make the tracker
+        # report a leaked semaphore it could no longer find.
+        self.cmd_queues = [ctx.SimpleQueue() for _ in range(w)]
         self.result_queue = ctx.Queue()
         #: per-worker progress counters; each worker writes only its own
         #: slot (no lock needed), the driver and peer channels read all.
@@ -228,6 +253,23 @@ class ProcessBackend:
         #: per-worker live-metrics slots (see :data:`LIVE_NSLOTS`)
         self.livestats = ctx.RawArray("d", w * LIVE_NSLOTS)
         self._hb_watch = {}
+        # The finalizer exists before anything it releases: a failure
+        # below (arena creation, a spawn) reaps what was already made.
+        self._finalizer = weakref.finalize(
+            self, _cleanup, self.procs, self.arenas, self.staging,
+            self.inboxes + self.cmd_queues + [self.result_queue],
+        )
+        spawned = False
+        try:
+            self._spawn(ctx)
+            spawned = True
+        finally:
+            if not spawned:
+                self.terminate()
+        self._started = True
+
+    def _spawn(self, ctx) -> None:
+        w = self.nworkers
         hosts = None
         if self.transport == "tcp":
             env_hosts = os.environ.get("REPRO_PARALLEL_HOSTS")
@@ -235,11 +277,9 @@ class ProcessBackend:
                 hosts = parse_hosts(env_hosts, self.nworkers)
             arena_names = None
         else:
-            self.arenas = [
-                shared_memory.SharedMemory(create=True,
-                                           size=self.arena_bytes)
-                for _ in range(w)
-            ]
+            for _ in range(w):
+                self.arenas.append(shared_memory.SharedMemory(
+                    create=True, size=self.arena_bytes))
             arena_names = [shm.name for shm in self.arenas]
         spec = {
             "mesh": self.mesh,
@@ -273,11 +313,6 @@ class ProcessBackend:
                     os.environ.pop(v, None)
                 else:
                     os.environ[v] = old
-        self._finalizer = weakref.finalize(
-            self, _cleanup, list(self.procs), list(self.arenas),
-            self.inboxes + self.cmd_queues + [self.result_queue],
-        )
-        self._started = True
 
     # ------------------------------------------------------------------ #
     def _owned_ranks(self, wid: int) -> list:
@@ -301,9 +336,15 @@ class ProcessBackend:
             self.counters["commands"] += 1
             if op == "fit":
                 self.counters["fit_dispatches"] += 1
-        for q in self.cmd_queues:
-            q.put((op, payload))
+        self._post((op, payload))
         return self._collect(op)
+
+    def _post(self, command) -> None:
+        """Stage one command (arrays into the staging segment) and put
+        the same small message on every worker's command queue."""
+        staged = self.staging.stage(command)
+        for q in self.cmd_queues:
+            q.put(staged)
 
     def command_batch(self, commands) -> list:
         """Fuse N commands into one pickle/wakeup per worker.
@@ -320,8 +361,7 @@ class ProcessBackend:
         self.counters["dispatches"] += 1
         self.counters["commands"] += len(commands)
         self.counters["fused_batches"] += 1
-        for q in self.cmd_queues:
-            q.put(("batch", commands))
+        self._post(("batch", commands))
         return self._collect("batch")
 
     def _collect(self, op: str) -> list:
@@ -482,11 +522,10 @@ class ProcessBackend:
         """Orderly shutdown: ask workers to exit, then reap resources."""
         if not self._started:
             return
-        for q in self.cmd_queues:
-            try:
-                q.put(("close", None))
-            except (ValueError, OSError):  # pragma: no cover
-                pass
+        try:
+            self._post(("close", None))
+        except (ValueError, OSError):  # pragma: no cover
+            pass
         for p in self.procs:
             p.join(timeout=self.timeout)
         self.terminate()
@@ -495,6 +534,10 @@ class ProcessBackend:
         if self._finalizer is not None:
             self._finalizer()
         self._started = False
+        # Drop the queues here, in the thread that closes the pool, so
+        # their semaphores are released now rather than whenever the
+        # backend object happens to be collected.
+        self.inboxes, self.cmd_queues, self.result_queue = [], [], None
 
 
 # ---------------------------------------------------------------------- #
@@ -537,9 +580,10 @@ def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
                        spec["owners"])
     state = _WorkerState()
     paranoid = paranoid_mode()
+    reader = StagedReader()
     try:
         while True:
-            op, payload = cmd_queue.get()
+            op, payload = reader.load(cmd_queue.get())
             if op == "close":
                 break
             try:
@@ -554,6 +598,7 @@ def _worker_main(worker_id: int, spec: dict, inboxes, cmd_queue,
                 result_queue.put((worker_id, "err",
                                   traceback.format_exc()))
     finally:
+        reader.close()
         channel.close()
 
 

@@ -2,9 +2,12 @@
 
 Every worker owns one inbox queue (driver-created) and one shared-memory
 arena (:mod:`repro.parallel.shm`).  All collective traffic reduces to one
-primitive, :meth:`PeerChannel.exchange`: post a list of payloads to a set
-of peers, collect one list from each of another set of peers, acknowledge
-shared-memory receipts, and reclaim the arena.
+primitive, :meth:`PeerChannel.exchange`: post one message (a list of
+payloads, shared or per destination) to each of a set of peers, collect
+one message from each of another set of peers, acknowledge shared-memory
+receipts, and reclaim the arena.  A collective makes one exchange per
+call, so a worker sends at most one message to each peer worker per
+collective.
 
 Ordering and deadlock freedom rest on the SPMD structure of the epochs:
 every worker executes the same global sequence of collectives, so any two
@@ -31,7 +34,8 @@ from __future__ import annotations
 import os
 import queue
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.analysis import sanitize as _sanitize
 from repro.obs import spans as _spans
@@ -44,7 +48,12 @@ from repro.parallel.shm import (
 )
 
 __all__ = ["ChannelBase", "PeerChannel", "ChannelTimeout",
-           "default_timeout", "default_backoff"]
+           "default_timeout", "default_backoff", "per_destination"]
+
+#: What one exchange posts: a single ``(key, payload)`` list for every
+#: destination, or a list per destination worker.
+Item = Tuple[Any, Any]
+Posts = Union[Sequence[Item], Mapping[int, Sequence[Item]]]
 
 
 class ChannelTimeout(RuntimeError):
@@ -59,6 +68,14 @@ def default_backoff() -> float:
     """Base seconds for exponential backoff (TCP dial retries and the
     driver's restart delays), via ``REPRO_PARALLEL_BACKOFF``."""
     return float(os.environ.get("REPRO_PARALLEL_BACKOFF", "0.05"))
+
+
+def per_destination(items: Posts, send_to: Sequence[int]
+                    ) -> List[Sequence[Item]]:
+    """The list each worker in ``send_to`` is posted, in order."""
+    if isinstance(items, Mapping):
+        return [items[w] for w in send_to]
+    return [items] * len(send_to)
 
 
 #: Granularity of blocking waits: receives poll in slices this long so
@@ -207,14 +224,19 @@ class PeerChannel(ChannelBase):
     def exchange(
         self,
         gkey,
-        items: Sequence[Tuple[Any, Any]],
+        items: Posts,
         send_to: Sequence[int],
         recv_from: Sequence[int],
     ) -> Dict[int, List[Tuple[Any, Any]]]:
-        """Post ``items`` (``(key, payload)`` pairs) to every worker in
-        ``send_to``; collect one posted list from each worker in
-        ``recv_from``.  Returns ``{src_worker: [(key, payload), ...]}``
-        with decoded private payloads.
+        """Post one message to every worker in ``send_to``; collect one
+        message from each worker in ``recv_from``.  Returns
+        ``{src_worker: [(key, payload), ...]}`` with decoded private
+        payloads.
+
+        ``items`` is either one list of ``(key, payload)`` pairs posted
+        to every destination, or a mapping from destination worker to
+        that destination's own list.  A payload object posted to several
+        destinations is written into the arena once.
 
         Participants must call with the same ``gkey`` in the same
         relative order; the tag sequence does the rest.  Arena space and
@@ -234,21 +256,31 @@ class PeerChannel(ChannelBase):
         tag = self._tag(gkey)
         ephemerals: List[shared_memory.SharedMemory] = []
         mark = self.arena.ptr
-        need_ack = False
+        ack_from: List[int] = []
         if send_to:
-            descs = []
             t0 = rec.clock() if rec is not None else 0.0
-            for key, obj in items:
-                desc = encode_payload(self.arena, obj, ephemerals,
-                                      self.inline_max)
-                need_ack = need_ack or desc_needs_ack(desc)
-                descs.append((key, desc))
-                sent += _desc_nbytes(desc)
+            encoded: Dict[int, Tuple] = {}
+            posts = []
+            for w, posted in zip(send_to, per_destination(items, send_to)):
+                descs = []
+                need_ack = False
+                for key, obj in posted:
+                    desc = encoded.get(id(obj))
+                    if desc is None:
+                        desc = encode_payload(self.arena, obj, ephemerals,
+                                              self.inline_max)
+                        encoded[id(obj)] = desc
+                    need_ack = need_ack or desc_needs_ack(desc)
+                    descs.append((key, desc))
+                    sent += _desc_nbytes(desc)
+                posts.append((w, descs))
+                if need_ack:
+                    ack_from.append(w)
             if rec is not None:
                 ser_s = rec.clock() - t0
-            for w in send_to:
+            for w, descs in posts:
                 self.inboxes[w].put(("d", tag, self.wid, descs))
-            self.bytes_sent += sent * len(send_to)
+            self.bytes_sent += sent
         out: Dict[int, List[Tuple[Any, Any]]] = {}
         for w in recv_from:
             if rec is None:
@@ -268,9 +300,9 @@ class PeerChannel(ChannelBase):
             out[w] = decoded
             if any(desc_needs_ack(desc) for _, desc in descs_w):
                 self.inboxes[w].put(("a", tag, self.wid))
-        if need_ack:
+        if ack_from:
             t0 = rec.clock() if rec is not None else 0.0
-            for w in send_to:
+            for w in ack_from:
                 self._recv("a", tag, w)
             if rec is not None:
                 wait_s += rec.clock() - t0
@@ -281,8 +313,7 @@ class PeerChannel(ChannelBase):
         if rec is not None:
             rec.record(
                 "exchange", "xchg", t_start, rec.clock(),
-                (self._span_label(gkey), ser_s, wait_s, copy_s,
-                 sent * len(send_to)),
+                (self._span_label(gkey), ser_s, wait_s, copy_s, sent),
             )
         return out
 

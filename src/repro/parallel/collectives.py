@@ -257,35 +257,73 @@ class ProcessCollectives(Collectives):
                                     [self.owner_of[root]])
         return got[self.owner_of[root]][0][1]
 
+    def _coalesced(self, kind: str, participants, sends, recv_from,
+                   out: list) -> None:
+        """One exchange for a whole data-plane call: one message to each
+        peer worker in ``sends`` (``{worker: [(index, payload), ...]}``)
+        and one from each worker in ``recv_from``; each received payload
+        lands read-only at its index of ``out``.
+
+        ``participants`` is every worker on either end of a cross-worker
+        transfer in the call.  Every worker derives it from the same
+        global route list, so it keys the tag: exactly the participants
+        make this exchange, once each, and their sequence counters for
+        the key stay aligned.  Non-participants skip the call.
+        """
+        if self.wid not in participants:
+            return
+        got = self.channel.exchange(
+            (kind, tuple(sorted(participants))), sends, sorted(sends),
+            sorted(recv_from),
+        )
+        for items in got.values():
+            for i, value in items:
+                out[i] = _readonly(value)
+
     def routed_broadcast_data(self, routes, blocks) -> list:
+        """Concurrent broadcasts along ``(group, root)`` routes, in one
+        coalesced exchange: each root's worker posts, per peer member
+        worker, the payloads of every route that peer belongs to."""
         out = [None] * len(routes)
+        sends: Dict[int, list] = {}
+        recv_from = set()
+        participants = set()
         for i, (group, root) in enumerate(routes):
-            group = self._group(group)
-            if self.wid not in self._workers_of(group):
-                continue
-            recv = self._move_root_payload(
-                ("rb", group), group, root,
-                blocks[root] if self.owner_of[root] == self.wid else None,
-            )
-            out[i] = _readonly(recv)
+            wset = self._workers_of(self._group(group))
+            if len(wset) > 1:
+                participants.update(wset)
+            ow_r = self.owner_of[root]
+            if ow_r == self.wid:
+                value = blocks[root]
+                out[i] = _readonly(value)
+                for w in wset:
+                    if w != self.wid:
+                        sends.setdefault(w, []).append((i, value))
+            elif self.wid in wset:
+                recv_from.add(ow_r)
+        self._coalesced("rb", participants, sends, recv_from, out)
         return out
 
     def routed_sendrecv_data(self, pairs, payloads) -> list:
+        """Point-to-point ``(src, dst)`` transfers in one coalesced
+        exchange (one message per peer worker)."""
         out = [None] * len(pairs)
+        sends: Dict[int, list] = {}
+        recv_from = set()
+        participants = set()
         for i, (src, dst) in enumerate(pairs):
             ow_s, ow_d = self.owner_of[src], self.owner_of[dst]
-            if src == dst:
+            if ow_s == ow_d:
                 if ow_s == self.wid:
-                    out[i] = payloads[src]
+                    out[i] = (payloads[src] if src == dst
+                              else _readonly(payloads[src]))
                 continue
-            if ow_s == self.wid and ow_d == self.wid:
-                out[i] = _readonly(payloads[src])
-            elif ow_s == self.wid:
-                self.channel.exchange(("sr", src, dst),
-                                      [(src, payloads[src])], [ow_d], [])
+            participants.update((ow_s, ow_d))
+            if ow_s == self.wid:
+                sends.setdefault(ow_d, []).append((i, payloads[src]))
             elif ow_d == self.wid:
-                got = self.channel.exchange(("sr", src, dst), [], [], [ow_s])
-                out[i] = _readonly(got[ow_s][0][1])
+                recv_from.add(ow_s)
+        self._coalesced("sr", participants, sends, recv_from, out)
         return out
 
     def allgather_data(self, group, values) -> Dict[int, list]:
@@ -326,31 +364,34 @@ class ProcessCollectives(Collectives):
                 if r in self.local_set}
 
     def gather_rows_data(self, pairs, blocks) -> list:
-        """Ghost-row transfers really crossing worker boundaries.
+        """Ghost-row transfers really crossing worker boundaries, in one
+        coalesced exchange.
 
-        Every worker walks the same globally-ordered pair list (sends
-        are posted asynchronously, receives block), exactly like
-        :meth:`routed_sendrecv_data` -- the fixed order is what makes
-        the rendezvous deadlock-free.  Row selection happens on the
-        *source* worker, so only the requested rows travel.
+        Each worker posts one message per destination worker holding
+        the rows of every pair it sources there, then receives one
+        message from each source worker (see :meth:`_coalesced`).  Row
+        selection happens on the *source* worker, so only the requested
+        rows travel.
         """
         out = [None] * len(pairs)
+        sends: Dict[int, list] = {}
+        recv_from = set()
+        participants = set()
         for i, (src, dst, idx) in enumerate(pairs):
             ow_s, ow_d = self.owner_of[src], self.owner_of[dst]
-            if ow_s == self.wid and ow_d == self.wid:
-                rows = blocks[src][idx]
-                rows.flags.writeable = False
-                out[i] = rows
-            elif ow_s == self.wid:
-                self.channel.exchange(
-                    ("gr", src, dst),
-                    [(src, np.ascontiguousarray(blocks[src][idx]))],
-                    [ow_d], [],
-                )
+            if ow_s == ow_d:
+                if ow_s == self.wid:
+                    rows = blocks[src][idx]
+                    rows.flags.writeable = False
+                    out[i] = rows
+                continue
+            participants.update((ow_s, ow_d))
+            if ow_s == self.wid:
+                sends.setdefault(ow_d, []).append(
+                    (i, np.ascontiguousarray(blocks[src][idx])))
             elif ow_d == self.wid:
-                got = self.channel.exchange(("gr", src, dst), [], [],
-                                            [ow_s])
-                out[i] = _readonly(got[ow_s][0][1])
+                recv_from.add(ow_s)
+        self._coalesced("gr", participants, sends, recv_from, out)
         return out
 
     # ------------------------------------------------------------------ #

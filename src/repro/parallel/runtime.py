@@ -193,7 +193,12 @@ class ParallelAlgorithm:
         collects the final per-epoch history and ledger, checks the
         batched digest, and -- for API parity with
         :meth:`DistAlgorithm.fit` -- replays ``on_epoch`` over the
-        returned stats.
+        returned stats.  ``features``, ``labels`` and ``mask`` reach the
+        workers through the backend's shared-memory staging segment
+        (the queued command message only carries their offsets); each
+        worker trains on private copies taken when the command arrives,
+        so editing the arrays between fits changes the next fit exactly
+        as it does on the virtual runtime.
 
         ``trace`` turns on worker-side span recording for this fit:
         ``True`` / a capacity int / an options dict (``{"capacity": n}``).

@@ -21,18 +21,26 @@ write-only to its owner) plus, for oversized payloads, per-payload
 Receivers copy payloads out of the sender's segment immediately (the
 sender reclaims arena space once every receiver acknowledges), so decoded
 arrays are private to the receiving worker.
+
+Driver commands travel the same way in the other direction: a
+:class:`StagingArea` pickles each command with protocol 5, writes its
+out-of-band array buffers into one driver-owned segment, and puts only
+the small pickle plus the buffer offsets on the command queues; each
+worker's :class:`StagedReader` copies the buffers out before use.
 """
 
 from __future__ import annotations
 
+import pickle
 from multiprocessing import shared_memory
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["Arena", "encode_payload", "decode_payload", "INLINE_MAX"]
+__all__ = ["Arena", "encode_payload", "decode_payload", "INLINE_MAX",
+           "StagingArea", "StagedReader"]
 
 #: Payloads at or below this many bytes travel inline in the queue
 #: message instead of through shared memory (and need no ack).
@@ -173,3 +181,89 @@ def decode_payload(desc: Tuple, peer_buf) -> Any:
             validate=False,
         )
     return _decode_array(desc, peer_buf)
+
+
+#: A staged command: ``(pickle, segment name or None, buffer spans)``.
+Staged = Tuple[bytes, Optional[str], Tuple[Tuple[int, int], ...]]
+
+
+class StagingArea:
+    """Driver-owned segment carrying the array buffers of one command.
+
+    :meth:`stage` pickles a command with protocol 5 (PEP 574): numpy
+    arrays hand their contiguous buffers out of band, and those bytes
+    are written into the segment instead of into the pickle, so every
+    worker's command message stays small however large the arrays.  The
+    segment is reused by the next command -- safe because the driver
+    collects every worker's reply (and workers copy their buffers out
+    on receipt) before it stages again.  It grows by replacement when a
+    command needs more room, and :meth:`release` unlinks it.
+    """
+
+    def __init__(self) -> None:
+        self.shm: Optional[shared_memory.SharedMemory] = None
+
+    def stage(self, obj: Any) -> Staged:
+        buffers: List[pickle.PickleBuffer] = []
+        blob = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+        if not buffers:
+            return blob, None, ()
+        raws = [b.raw() for b in buffers]
+        spans = []
+        end = 0
+        for raw in raws:
+            start = (end + _ALIGN - 1) // _ALIGN * _ALIGN
+            spans.append((start, raw.nbytes))
+            end = start + raw.nbytes
+        shm = self._reserve(end)
+        for (start, nbytes), raw in zip(spans, raws):
+            shm.buf[start:start + nbytes] = raw
+        return blob, shm.name, tuple(spans)
+
+    def _reserve(self, nbytes: int) -> shared_memory.SharedMemory:
+        shm = self.shm
+        if shm is None or shm.size < nbytes:
+            grow = 0 if shm is None else 2 * shm.size
+            self.release()
+            shm = shared_memory.SharedMemory(create=True,
+                                             size=max(nbytes, grow, 1))
+            self.shm = shm
+        return shm
+
+    def release(self) -> None:
+        shm, self.shm = self.shm, None
+        if shm is not None:
+            shm.close()
+            try:
+                shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+
+
+class StagedReader:
+    """Worker side of :class:`StagingArea`: rebuilds a staged command
+    from private copies of its buffers."""
+
+    def __init__(self) -> None:
+        self.shm: Optional[shared_memory.SharedMemory] = None
+
+    def load(self, staged: Staged) -> Any:
+        blob, name, spans = staged
+        buffers: List[bytearray] = []
+        if name is not None:
+            if self.shm is None or self.shm.name != name:
+                self.close()
+                self.shm = shared_memory.SharedMemory(name=name)
+            buffers = _copies(self.shm.buf, spans)
+        # repro-lint: disable=R7 -- the spawning driver's own command, as mp.Queue.get unpickles
+        return pickle.loads(blob, buffers=buffers)
+
+    def close(self) -> None:
+        shm, self.shm = self.shm, None
+        if shm is not None:
+            shm.close()
+
+
+def _copies(buf, spans: Sequence[Tuple[int, int]]) -> List[bytearray]:
+    """Private copies of the staged buffers (the segment is reused)."""
+    return [bytearray(buf[start:start + nbytes]) for start, nbytes in spans]

@@ -11,8 +11,9 @@ instead of queue descriptors plus shared memory, so the P ranks can span
 machines.
 
 Wire format: one frame per posted message, ``>Q`` byte length followed by
-``pickle(("d", tag, wid, items))``.  A frame is pickled **once** per
-exchange and the same bytes go to every destination.
+``pickle(("d", tag, wid, items))``.  Each exchange sends one frame to each
+destination peer; a list shared by several destinations is pickled
+**once** and the same bytes go to each.
 
 Deadlock freedom: raw sockets, unlike ``multiprocessing.Queue`` (whose
 feeder thread makes ``put`` non-blocking), can deadlock when all peers
@@ -51,7 +52,9 @@ from repro.parallel.channel import (
     WAIT_SLICE,
     ChannelBase,
     ChannelTimeout,
+    Posts,
     default_backoff,
+    per_destination,
 )
 
 __all__ = ["TcpChannel", "parse_hosts"]
@@ -109,13 +112,15 @@ def parse_hosts(spec: str,
 
 
 def _sender_loop(sock: socket.socket, frames: "queue.Queue") -> None:
-    """Drain one connection's outgoing frames (daemon thread)."""
+    """Drain one connection's outgoing ``(header, body)`` frames
+    (daemon thread)."""
     while True:
         frame = frames.get()
         if frame is None:
             break
         try:
-            sock.sendall(frame)
+            for part in frame:
+                sock.sendall(part)
         except OSError:
             break
 
@@ -243,7 +248,7 @@ class TcpChannel(ChannelBase):
             got += k
         return bytes(buf)
 
-    def _recv_exact(self, src: int, n: int) -> bytes:
+    def _recv_exact(self, src: int, n: int) -> bytearray:
         """Exact read from peer ``src`` under the no-progress timeout.
 
         A slow peer that keeps its heartbeat moving extends the wait;
@@ -284,7 +289,7 @@ class TcpChannel(ChannelBase):
                 )
             got += k
             waited = 0.0
-        return bytes(buf)
+        return buf
 
     def _read_msg(self, src: int):
         rec = _spans.ACTIVE
@@ -323,13 +328,14 @@ class TcpChannel(ChannelBase):
     def exchange(
         self,
         gkey,
-        items: Sequence[Tuple[Any, Any]],
+        items: Posts,
         send_to: Sequence[int],
         recv_from: Sequence[int],
     ) -> Dict[int, List[Tuple[Any, Any]]]:
         """Same contract as :meth:`PeerChannel.exchange`; payloads are
         pickled whole (numpy arrays round-trip bit-exactly) so receivers
-        always hold private copies."""
+        always hold private copies.  A list posted to several
+        destinations is pickled into one frame whose bytes go to each."""
         xi = self._inject_exchange_fault()
         self.touch()
         self.nexchanges += 1
@@ -346,25 +352,24 @@ class TcpChannel(ChannelBase):
         tag = self._tag(gkey)
         if send_to:
             t0 = rec.clock() if rec is not None else 0.0
-            blob = pickle.dumps(("d", tag, self.wid, list(items)),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            if frame_fault is not None and frame_fault.action == "corrupt":
-                # Same length, mangled first opcode: the receiver's
-                # unpickle raises, modeling on-the-wire corruption.
-                mangled = bytearray(blob)
-                mangled[0] ^= 0xFF
-                blob = bytes(mangled)
-            frame = _HDR.pack(len(blob)) + blob
+            frames: Dict[int, Tuple[bytes, bytes]] = {}
+            posts = []
+            for w, posted in zip(send_to, per_destination(items, send_to)):
+                frame = frames.get(id(posted))
+                if frame is None:
+                    frame = self._frame(tag, posted, frame_fault)
+                    frames[id(posted)] = frame
+                posts.append((w, frame))
             if rec is not None:
                 ser_s = rec.clock() - t0
             if frame_fault is not None and frame_fault.action == "drop":
-                # The frame is never posted: the receiving peers' waits
+                # The frames are never posted: the receiving peers' waits
                 # expire into ChannelTimeout (a transport error).
                 pass
             else:
-                for w in send_to:
+                for w, frame in posts:
                     self._sendqs[w].put(frame)
-                sent = len(frame) * len(send_to)
+                    sent += len(frame[0]) + len(frame[1])
                 self.bytes_sent += sent
         out: Dict[int, List[Tuple[Any, Any]]] = {}
         for w in recv_from:
@@ -377,6 +382,20 @@ class TcpChannel(ChannelBase):
                  self._copy_s, sent),
             )
         return out
+
+    def _frame(self, tag, posted, frame_fault) -> Tuple[bytes, bytes]:
+        """One wire frame carrying ``posted``: the ``>Q`` length header
+        and the pickle, kept apart so a large body is never copied just
+        to prepend eight bytes."""
+        blob = pickle.dumps(("d", tag, self.wid, list(posted)),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        if frame_fault is not None and frame_fault.action == "corrupt":
+            # Same length, mangled first opcode: the receiver's
+            # unpickle raises, modeling on-the-wire corruption.
+            mangled = bytearray(blob)
+            mangled[0] ^= 0xFF
+            blob = bytes(mangled)
+        return _HDR.pack(len(blob)), blob
 
     # ------------------------------------------------------------------ #
     # lifecycle
